@@ -107,13 +107,12 @@ const (
 //
 // The engine's pipelined runner keeps a small ring of sketches so the
 // front stage can hash bin N+1 while the back stage still reads bin N's
-// sketch (see pkg/loadshed DESIGN.md §10); per-worker sketches are the
-// staging areas of the chunk-parallel fill (SketchChunks).
+// sketch (see pkg/loadshed DESIGN.md §10).
 //
 // The zero value is unusable; construct with NewSketch.
 type Sketch struct {
 	batch   [pkt.NumAggregates]*bitmap.MultiRes
-	hashBuf []uint64 // hash staging, sized to the largest chunk seen
+	hashBuf []uint64 // hash staging, sized to the largest batch seen
 	pkts    int      // packets represented by the current contents
 }
 
@@ -143,17 +142,6 @@ func (sk *Sketch) Pkts() int { return sk.pkts }
 // (one per packet per aggregate), the unit the engine's cost model
 // charges feature extraction in.
 func (sk *Sketch) Ops() int64 { return int64(sk.pkts) * pkt.NumAggregates }
-
-// MergeFrom ORs another sketch into sk. Bitmap contents are pure unions,
-// so merging per-worker chunk sketches in any fixed order reproduces the
-// sequential fill bit for bit; the chunk-parallel path merges in worker
-// index order to keep even the bookkeeping deterministic.
-func (sk *Sketch) MergeFrom(o *Sketch) {
-	for a := 0; a < pkt.NumAggregates; a++ {
-		sk.batch[a].MergeFrom(o.batch[a])
-	}
-	sk.pkts += o.pkts
-}
 
 // Extractor computes feature vectors from batches. It keeps two bitmaps
 // per aggregate: one reset per batch (unique counts, held in an internal
@@ -332,9 +320,9 @@ func (e *Extractor) ExtractInto(v Vector, b *pkt.Batch) Vector {
 // batch-pure half of extraction. It reads only e's hash tables (fixed
 // at construction) and writes only sk, so concurrent calls on the same
 // extractor are safe when each targets a distinct sketch — the contract
-// the chunk-parallel fill and the pipelined engine's read-ahead stage
-// build on. It does not advance e.Ops; the consumer charges the cost
-// when the sketch is folded into a bin (sk.Ops reports it).
+// the pipelined engine's read-ahead stage builds on. It does not
+// advance e.Ops; the consumer charges the cost when the sketch is
+// folded into a bin (sk.Ops reports it).
 //
 // Aggregates iterate in the outer loop, packets in the inner one, for
 // the cache behaviour documented on ExtractInto.
@@ -345,69 +333,6 @@ func (e *Extractor) SketchInto(sk *Sketch, pkts []pkt.Packet) {
 		sk.batch[a].InsertMany(sk.hashBuf)
 	}
 	sk.pkts = len(pkts)
-}
-
-// ChunkSketcher fills sketches from contiguous packet chunks in
-// parallel: chunk w is sketched into a per-worker staging sketch (the
-// per-worker H3 staging of the batch-parallel front stage), and the
-// staging sketches are merged into the destination in worker index
-// order. Because bitmap contents are pure unions and every packet's
-// hash is independent of its neighbours, the result is bit-identical to
-// a sequential SketchInto for any chunk count and any execution order —
-// which is what lets the engine split a batch across cores without
-// giving up bit-identical runs.
-//
-// The chunk closure is built once at construction and the staging
-// sketches are reused across fills, so a warmed ChunkSketcher fills
-// without allocating. It is owned by one producer at a time; only the
-// chunk function itself runs on other goroutines.
-type ChunkSketcher struct {
-	e       *Extractor
-	staging []*Sketch
-	pkts    []pkt.Packet // current fill's input, read by fn
-	chunk   int          // current fill's chunk length
-	fn      func(int)    // prebuilt chunk body
-}
-
-// NewChunkSketcher returns a sketcher with `workers` staging sketches
-// for extractor e (workers >= 1).
-func NewChunkSketcher(e *Extractor, workers int) *ChunkSketcher {
-	if workers < 1 {
-		workers = 1
-	}
-	cs := &ChunkSketcher{e: e, staging: make([]*Sketch, workers)}
-	for w := range cs.staging {
-		cs.staging[w] = NewSketch()
-	}
-	cs.fn = func(w int) {
-		lo := min(w*cs.chunk, len(cs.pkts))
-		hi := min(lo+cs.chunk, len(cs.pkts))
-		cs.e.SketchInto(cs.staging[w], cs.pkts[lo:hi])
-	}
-	return cs
-}
-
-// Workers reports the number of staging sketches (the chunk count).
-func (cs *ChunkSketcher) Workers() int { return len(cs.staging) }
-
-// Fill sketches pkts into dst using one chunk per staging sketch. run
-// must invoke fn(0..n-1) exactly once each before returning, on any
-// goroutines it likes — a worker pool, or nil to run the chunks inline.
-// dst must be distinct from every staging sketch.
-func (cs *ChunkSketcher) Fill(dst *Sketch, pkts []pkt.Packet, run func(n int, fn func(int))) {
-	n := len(cs.staging)
-	if n == 1 || run == nil {
-		cs.e.SketchInto(dst, pkts)
-		return
-	}
-	cs.pkts = pkts
-	cs.chunk = (len(pkts) + n - 1) / n
-	run(n, cs.fn)
-	cs.pkts = nil
-	dst.Reset()
-	for _, sk := range cs.staging {
-		dst.MergeFrom(sk)
-	}
 }
 
 // sized returns v resized to NumFeatures, reallocating only when the

@@ -1,9 +1,7 @@
 package features
 
 import (
-	"fmt"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -12,7 +10,7 @@ import (
 )
 
 // sketchTrace records a couple of seconds of generator batches so the
-// chunk-equivalence tests see real-ish key distributions, not toy rows.
+// sketch tests see real-ish key distributions, not toy rows.
 func sketchTrace(t testing.TB) []pkt.Batch {
 	g := trace.NewGenerator(trace.Config{Seed: 31, Duration: 2 * time.Second, PacketsPerSec: 6000})
 	batches := trace.Record(g)
@@ -20,70 +18,6 @@ func sketchTrace(t testing.TB) []pkt.Batch {
 		t.Fatal("generator produced no batches")
 	}
 	return batches
-}
-
-// inlineRun satisfies ChunkSketcher.Fill's run contract on the calling
-// goroutine — the degenerate "pool" used to isolate chunking from
-// concurrency.
-func inlineRun(n int, fn func(int)) {
-	for i := 0; i < n; i++ {
-		fn(i)
-	}
-}
-
-// goRun fans fn out over real goroutines, the shape the engine's front
-// stage uses.
-func goRun(n int, fn func(int)) {
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			fn(w)
-		}(i)
-	}
-	wg.Wait()
-}
-
-// TestChunkSketchEquivalence is the determinism contract of the
-// batch-parallel front stage: sketching a batch in k chunks and merging
-// the staging sketches in index order must produce vectors bit-identical
-// to the sequential single-chunk sketch, for any k and whether the
-// chunks run inline or on concurrent goroutines.
-func TestChunkSketchEquivalence(t *testing.T) {
-	batches := sketchTrace(t)
-	for _, workers := range []int{1, 2, 3, 4, 7} {
-		for _, mode := range []string{"inline", "goroutines"} {
-			t.Run(fmt.Sprintf("workers=%d/%s", workers, mode), func(t *testing.T) {
-				run := inlineRun
-				if mode == "goroutines" {
-					run = goRun
-				}
-				seqExt := NewExtractor(9)
-				parExt := NewExtractor(9)
-				cs := NewChunkSketcher(parExt, workers)
-				seqSk, parSk := NewSketch(), NewSketch()
-				seqExt.StartInterval()
-				parExt.StartInterval()
-				for _, b := range batches {
-					seqExt.SketchInto(seqSk, b.Pkts)
-					cs.Fill(parSk, b.Pkts, run)
-					if seqSk.Pkts() != parSk.Pkts() {
-						t.Fatalf("chunked sketch saw %d pkts, sequential %d", parSk.Pkts(), seqSk.Pkts())
-					}
-					np, nb := float64(b.Packets()), float64(b.Bytes())
-					seqV := append(Vector(nil), seqExt.ExtractFromSketch(seqSk, np, nb)...)
-					parV := append(Vector(nil), parExt.ExtractFromSketch(parSk, np, nb)...)
-					if !reflect.DeepEqual(seqV, parV) {
-						t.Fatalf("vectors diverged:\nseq %v\npar %v", seqV, parV)
-					}
-				}
-				if !reflect.DeepEqual(seqExt.IntervalEstimates(), parExt.IntervalEstimates()) {
-					t.Fatal("interval estimates diverged between sequential and chunked sketching")
-				}
-			})
-		}
-	}
 }
 
 // TestSketchMatchesExtract pins the sketch/finish split to the one-shot
@@ -108,26 +42,5 @@ func TestSketchMatchesExtract(t *testing.T) {
 	}
 	if whole.Ops != split.Ops {
 		t.Fatalf("Ops accounting diverged: Extract %d, sketch path %d", whole.Ops, split.Ops)
-	}
-}
-
-// TestChunkSketchFillAllocFree proves a warmed ChunkSketcher fills
-// without allocating — the property that lets the pipelined front stage
-// keep the PR 4-5 zero-alloc steady state.
-func TestChunkSketchFillAllocFree(t *testing.T) {
-	batches := sketchTrace(t)
-	ext := NewExtractor(2)
-	cs := NewChunkSketcher(ext, 4)
-	dst := NewSketch()
-	ext.StartInterval()
-	cs.Fill(dst, batches[0].Pkts, inlineRun) // warm hash staging buffers
-	allocs := testing.AllocsPerRun(20, func() {
-		for _, b := range batches {
-			cs.Fill(dst, b.Pkts, inlineRun)
-			ext.ExtractFromSketch(dst, float64(b.Packets()), float64(b.Bytes()))
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warmed ChunkSketcher fill allocated %v times per run, want 0", allocs)
 	}
 }

@@ -12,6 +12,7 @@ package hash
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/pkt"
 )
@@ -29,9 +30,9 @@ const KeySize = 13
 // AggHashes only read the lookup table, so any number of goroutines may
 // hash through the same H3 concurrently (into distinct dst buffers for
 // AggHashes). This read-only contract is what lets the engine's
-// chunk-parallel front stage share one extractor's H3 functions across
-// sketch workers. Reseed is the single mutator and must not run
-// concurrently with hashing.
+// pipelined front stage sketch through the extractor whose H3
+// functions the back stage also reads. Reseed is the single mutator
+// and must not run concurrently with hashing.
 type H3 struct {
 	table [KeySize][256]uint64
 }
@@ -52,20 +53,19 @@ func NewH3(seed uint64) *H3 {
 func (h *H3) Reseed(seed uint64) {
 	rng := NewXorShift(seed)
 	// Draw the 8 rows of Q covering each byte position, then fold them
-	// into the 256-entry lookup table for that position.
+	// into the 256-entry lookup table for that position. Entry v is
+	// entry v-without-its-lowest-set-bit XOR that bit's row, so each
+	// table costs 255 XORs: the flow sampler reseeds every measurement
+	// interval, on the bin that crosses it.
 	for pos := 0; pos < KeySize; pos++ {
 		var rows [8]uint64
 		for bit := range rows {
 			rows[bit] = rng.Uint64()
 		}
-		for v := 0; v < 256; v++ {
-			var acc uint64
-			for bit := 0; bit < 8; bit++ {
-				if v&(1<<uint(bit)) != 0 {
-					acc ^= rows[bit]
-				}
-			}
-			h.table[pos][v] = acc
+		t := &h.table[pos]
+		t[0] = 0
+		for v := 1; v < 256; v++ {
+			t[v] = t[v&(v-1)] ^ rows[bits.TrailingZeros(uint(v))]
 		}
 	}
 }
@@ -129,6 +129,13 @@ func (h *H3) HashAgg(p *pkt.Packet, a pkt.Aggregate) uint64 {
 	default:
 		panic("hash: unknown aggregate")
 	}
+}
+
+// UnitAgg is Unit over packet p's aggregate-a key, hashed field-wise
+// (HashAgg) instead of through a serialized key, for per-packet
+// hash-based selection.
+func (h *H3) UnitAgg(p *pkt.Packet, a pkt.Aggregate) float64 {
+	return float64(h.HashAgg(p, a)>>11) / float64(1<<53)
 }
 
 // AggHashes fills dst (grown if needed, overwritten, returned) with the

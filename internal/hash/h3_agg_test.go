@@ -16,9 +16,10 @@ func allAggregates() []pkt.Aggregate {
 	return out
 }
 
-// checkAggEquivalence asserts that the field-wise fast path produces
-// exactly the hash of the serialized key for every aggregate — the
-// oracle that guards the zero-allocation extraction refactor.
+// checkAggEquivalence asserts that the field-wise fast paths produce
+// exactly the hash (and unit value) of the serialized key for every
+// aggregate — the oracle that guards the zero-allocation extraction
+// refactor and the field-wise flow-selection hashes.
 func checkAggEquivalence(t *testing.T, h *H3, p *pkt.Packet) {
 	t.Helper()
 	var buf []byte
@@ -27,6 +28,9 @@ func checkAggEquivalence(t *testing.T, h *H3, p *pkt.Packet) {
 		want := h.Hash(buf)
 		if got := h.HashAgg(p, a); got != want {
 			t.Fatalf("aggregate %v, packet %+v: HashAgg = %#x, byte-path Hash = %#x", a, *p, got, want)
+		}
+		if got, want := h.UnitAgg(p, a), h.Unit(buf); got != want {
+			t.Fatalf("aggregate %v, packet %+v: UnitAgg = %v, byte-path Unit = %v", a, *p, got, want)
 		}
 	}
 }

@@ -12,8 +12,8 @@ import (
 // contract documented on H3: many goroutines bulk-hashing disjoint
 // slices of the same packet run through one shared H3 must reproduce
 // the sequential AggHashes output exactly. This is the property the
-// chunk-parallel sketch stage leans on when it shares an extractor's
-// H3 functions across workers. Run under -race in CI.
+// pipelined engine leans on when its front goroutine sketches through
+// H3 functions the back stage also reads. Run under -race in CI.
 func TestAggHashesConcurrentReaders(t *testing.T) {
 	const n = 4096
 	pkts := make([]pkt.Packet, n)

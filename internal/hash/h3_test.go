@@ -238,3 +238,44 @@ func BenchmarkH3Hash(b *testing.B) {
 		h.Hash(k)
 	}
 }
+
+// naiveH3Table is the bit-by-bit construction of the lookup tables from
+// the definition — entry v of position pos XORs the rows of Q selected
+// by v's set bits — kept as the oracle for Reseed's incremental build.
+func naiveH3Table(seed uint64) [KeySize][256]uint64 {
+	var table [KeySize][256]uint64
+	rng := NewXorShift(seed)
+	for pos := 0; pos < KeySize; pos++ {
+		var rows [8]uint64
+		for bit := range rows {
+			rows[bit] = rng.Uint64()
+		}
+		for v := 0; v < 256; v++ {
+			var acc uint64
+			for bit := 0; bit < 8; bit++ {
+				if v&(1<<uint(bit)) != 0 {
+					acc ^= rows[bit]
+				}
+			}
+			table[pos][v] = acc
+		}
+	}
+	return table
+}
+
+// TestReseedMatchesNaiveTables pins the incremental table build to the
+// definition for several seeds, and for a reseed in place over a table
+// that already holds another function.
+func TestReseedMatchesNaiveTables(t *testing.T) {
+	h := NewH3(12345)
+	for _, seed := range []uint64{0, 1, 7, 0x9e3779b97f4a7c15, math.MaxUint64} {
+		want := naiveH3Table(seed)
+		if got := NewH3(seed); got.table != want {
+			t.Fatalf("seed %#x: NewH3 tables differ from the naive construction", seed)
+		}
+		h.Reseed(seed)
+		if h.table != want {
+			t.Fatalf("seed %#x: reseeded tables differ from the naive construction", seed)
+		}
+	}
+}

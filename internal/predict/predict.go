@@ -356,6 +356,8 @@ type fcbfCand struct {
 type fcbfScratch struct {
 	cands   []fcbfCand
 	removed []bool
+	mean    []float64 // per-column mean
+	ss      []float64 // per-column centred sum of squares
 }
 
 // selectInto is FCBF appending the selected indices to out (usually a
@@ -364,10 +366,18 @@ type fcbfScratch struct {
 // allocation.
 func (sc *fcbfScratch) selectInto(out []int, cols [][]float64, y []float64, threshold float64) []int {
 	type cand = fcbfCand
+	// Each series' Pearson terms are computed once per selection, not
+	// once per pair; pearson then accumulates only the cross terms.
+	sc.mean, sc.ss = sc.mean[:0], sc.ss[:0]
+	for _, col := range cols {
+		m, ss := centred(col)
+		sc.mean, sc.ss = append(sc.mean, m), append(sc.ss, ss)
+	}
+	my, syy := centred(y)
 	cands := sc.cands[:0]
 	best := cand{idx: -1}
 	for j, col := range cols {
-		r := stats.Pearson(col, y)
+		r := pearson(col, sc.mean[j], sc.ss[j], y, my, syy)
 		if r < 0 {
 			r = -r
 		}
@@ -405,7 +415,8 @@ func (sc *fcbfScratch) selectInto(out []int, cols [][]float64, y []float64, thre
 			if removed[j] {
 				continue
 			}
-			r := stats.Pearson(cols[cands[i].idx], cols[cands[j].idx])
+			a, b := cands[i].idx, cands[j].idx
+			r := pearson(cols[a], sc.mean[a], sc.ss[a], cols[b], sc.mean[b], sc.ss[b])
 			if r < 0 {
 				r = -r
 			}
@@ -423,6 +434,31 @@ func (sc *fcbfScratch) selectInto(out []int, cols [][]float64, y []float64, thre
 		}
 	}
 	return out
+}
+
+// centred returns the mean of xs and its centred sum of squares, each
+// accumulated in index order exactly as stats.Pearson does.
+func centred(xs []float64) (mean, ss float64) {
+	mean = stats.Mean(xs)
+	for _, x := range xs {
+		d := x - mean
+		ss += d * d
+	}
+	return mean, ss
+}
+
+// pearson is stats.Pearson(xs, ys) given each series' mean and centred
+// sum of squares from centred. The cross term accumulates in
+// stats.Pearson's order, so the coefficient is bit-identical to it.
+func pearson(xs []float64, mx, sxx float64, ys []float64, my, syy float64) float64 {
+	if len(xs) != len(ys) || len(xs) < 2 || sxx == 0 || syy == 0 {
+		return 0
+	}
+	var sxy float64
+	for i := range xs {
+		sxy += (xs[i] - mx) * (ys[i] - my)
+	}
+	return sxy / math.Sqrt(sxx*syy)
 }
 
 // MLR is the thesis' predictor: FCBF feature selection plus an

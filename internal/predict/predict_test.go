@@ -589,3 +589,105 @@ func TestMLRWeightedFitZeroAllocSteadyState(t *testing.T) {
 		t.Fatalf("weighted MLR fit steady-state allocations = %v, want 0", allocs)
 	}
 }
+
+// fcbfReference is FCBF with every coefficient from stats.Pearson, the
+// way selectInto computed them before it hoisted each series' mean and
+// sum of squares out of the pair loops: the oracle for that hoisting.
+func fcbfReference(cols [][]float64, y []float64, threshold float64) []int {
+	var cands []fcbfCand
+	best := fcbfCand{idx: -1}
+	for j, col := range cols {
+		r := math.Abs(stats.Pearson(col, y))
+		if r > best.r {
+			best = fcbfCand{idx: j, r: r}
+		}
+		if r >= threshold {
+			cands = append(cands, fcbfCand{idx: j, r: r})
+		}
+	}
+	if len(cands) == 0 {
+		if best.idx < 0 {
+			return nil
+		}
+		return []int{best.idx}
+	}
+	for i := 1; i < len(cands); i++ {
+		for k := i; k > 0 && (cands[k].r > cands[k-1].r ||
+			(cands[k].r == cands[k-1].r && cands[k].idx < cands[k-1].idx)); k-- {
+			cands[k], cands[k-1] = cands[k-1], cands[k]
+		}
+	}
+	removed := make([]bool, len(cands))
+	for i := range cands {
+		for j := i + 1; j < len(cands) && !removed[i]; j++ {
+			if !removed[j] && math.Abs(stats.Pearson(cols[cands[i].idx], cols[cands[j].idx])) >= cands[j].r-1e-9 {
+				removed[j] = true
+			}
+		}
+	}
+	var out []int
+	for i, c := range cands {
+		if !removed[i] {
+			out = append(out, c.idx)
+		}
+	}
+	return out
+}
+
+// fcbfColumns builds a response and candidate columns of length n that
+// cover the coefficient's special cases: noise, response-driven
+// columns, a constant column, exact and scaled duplicates.
+func fcbfColumns(rng *hash.XorShift, n int) ([][]float64, []float64) {
+	y := make([]float64, n)
+	noise, driven, constant := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range y {
+		y[i] = 1e6 * rng.Float64()
+		noise[i] = rng.NormFloat64()
+		driven[i] = 0.3*y[i] + 1e5*rng.NormFloat64()
+		constant[i] = 42
+	}
+	dup := append([]float64(nil), driven...)
+	scaled := make([]float64, n)
+	for i := range scaled {
+		scaled[i] = -3*driven[i] + 7
+	}
+	return [][]float64{noise, driven, constant, dup, scaled, append([]float64(nil), y...), noise}, y
+}
+
+// TestFCBFMatchesPearsonReference pins selectInto's hoisted Pearson
+// terms to stats.Pearson: every coefficient bit-identical on random,
+// constant, duplicated and length < 2 columns, and the selection equal
+// to the reference FCBF at several thresholds, on a reused scratch.
+func TestFCBFMatchesPearsonReference(t *testing.T) {
+	rng := hash.NewXorShift(11)
+	var sc fcbfScratch
+	var out []int
+	for _, n := range []int{0, 1, 2, 3, 10, 60} {
+		for trial := 0; trial < 20; trial++ {
+			cols, y := fcbfColumns(rng, n)
+			series := append(append([][]float64(nil), cols...), y, y[:n/2])
+			for _, a := range series {
+				ma, sa := centred(a)
+				for _, b := range series {
+					mb, sb := centred(b)
+					got, want := pearson(a, ma, sa, b, mb, sb), stats.Pearson(a, b)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("n=%d: pearson = %v, stats.Pearson = %v", n, got, want)
+					}
+				}
+			}
+			for _, threshold := range []float64{0, 0.1, 0.5, 0.99} {
+				out = sc.selectInto(out[:0], cols, y, threshold)
+				want := fcbfReference(cols, y, threshold)
+				if len(out) != len(want) {
+					t.Fatalf("n=%d threshold %v: selected %v, reference %v", n, threshold, out, want)
+				}
+				for i := range want {
+					if out[i] != want[i] {
+						t.Fatalf("n=%d threshold %v: selected %v, reference %v", n, threshold, out, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -130,14 +130,14 @@ func (q *P2PDetector) ShedTo(f float64) {
 // InspectFraction returns the current custom shedding fraction.
 func (q *P2PDetector) InspectFraction() float64 { return q.inspectFrac }
 
-func (q *P2PDetector) inspects(k pkt.FlowKey) bool {
+func (q *P2PDetector) inspects(p *pkt.Packet) bool {
 	if q.inspectFrac >= 1 {
 		return true
 	}
 	if q.inspectFrac <= 0 {
 		return false
 	}
-	return q.h3.Unit(k[:]) < q.inspectFrac
+	return q.h3.UnitAgg(p, pkt.Agg5Tuple) < q.inspectFrac
 }
 
 // Process implements Query.
@@ -152,7 +152,7 @@ func (q *P2PDetector) Process(b *pkt.Batch, _ float64) Ops {
 			st = q.newState()
 			q.flows[k] = st
 			ops.Inserts++
-			if !q.inspects(k) {
+			if !q.inspects(p) {
 				// Custom-shed flow: classify by port alone, now.
 				st.decided = true
 				if isP2PPort(p.DstPort) {

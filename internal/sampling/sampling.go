@@ -5,6 +5,8 @@
 package sampling
 
 import (
+	"math"
+
 	"repro/internal/hash"
 	"repro/internal/pkt"
 )
@@ -90,12 +92,27 @@ func (s *PacketSampler) SampleInto(dst []pkt.Packet, pkts []pkt.Packet, rate flo
 	if rate <= 0 {
 		return dst
 	}
+	thr := unitThreshold(rate)
 	for i := range pkts {
-		if s.rng.Float64() < rate {
+		if s.rng.Uint64()>>11 < thr {
 			dst = append(dst, pkts[i])
 		}
 	}
 	return dst
+}
+
+// unitThreshold returns the integer form of the selection test
+// u/2^53 < rate for a 53-bit draw u (how hash.XorShift.Float64 and
+// hash.H3.Unit map to [0,1)): for a real x, an integer u < x exactly
+// when u < ceil(x), and rate·2^53 is exact (a power-of-two scaling), so
+// u < unitThreshold(rate) selects exactly the draws the float
+// comparison does, without converting each one. A NaN rate selects
+// nothing, as the float comparison would.
+func unitThreshold(rate float64) uint64 {
+	if math.IsNaN(rate) {
+		return 0
+	}
+	return uint64(math.Ceil(rate * (1 << 53)))
 }
 
 // FlowSampler implements Flowwise sampling: a packet is selected when
@@ -151,8 +168,7 @@ func (s *FlowSampler) Keep(p *pkt.Packet, rate float64) bool {
 	if rate <= 0 {
 		return false
 	}
-	k := p.FlowKey()
-	return s.h.Unit(k[:]) < rate
+	return s.h.HashAgg(p, pkt.Agg5Tuple)>>11 < unitThreshold(rate)
 }
 
 // Sample returns the packets of b whose flows are selected at the given
@@ -182,8 +198,9 @@ func (s *FlowSampler) SampleInto(dst []pkt.Packet, pkts []pkt.Packet, rate float
 	if rate <= 0 {
 		return dst
 	}
+	thr := unitThreshold(rate)
 	for i := range pkts {
-		if s.Keep(&pkts[i], rate) {
+		if s.h.HashAgg(&pkts[i], pkt.Agg5Tuple)>>11 < thr {
 			dst = append(dst, pkts[i])
 		}
 	}

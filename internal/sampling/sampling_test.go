@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/hash"
 	"repro/internal/pkt"
 	"repro/internal/trace"
 )
@@ -243,5 +244,118 @@ func TestSampleIntoMatchesSample(t *testing.T) {
 		if len(want) != len(dst) {
 			t.Fatalf("flow rate %v: lengths %d vs %d", rate, len(want), len(dst))
 		}
+	}
+}
+
+// boundaryRates returns rates on and next to the 53-bit grid the
+// selection tests compare against — k/2^53 and its math.Nextafter
+// neighbours — plus NaN and a few off-grid values.
+func boundaryRates() []float64 {
+	rates := []float64{math.NaN(), 0.3, 0.5, 5e-324, math.Nextafter(1, 0)}
+	for _, k := range []uint64{1, 2, 3, 12345, 1 << 40, 1<<52 - 1, 1 << 52, 1<<52 + 1, 1<<53 - 1} {
+		r := float64(k) / (1 << 53)
+		rates = append(rates, r, math.Nextafter(r, 0), math.Nextafter(r, 1))
+	}
+	return rates
+}
+
+// TestUnitThresholdMatchesFloatCompare pins the integer selection test
+// to the float one it replaces, u/2^53 < rate, for draws around every
+// boundary rate's threshold and at the ends of the 53-bit range.
+func TestUnitThresholdMatchesFloatCompare(t *testing.T) {
+	for _, rate := range boundaryRates() {
+		thr := unitThreshold(rate)
+		us := []uint64{0, 1, 1<<53 - 2, 1<<53 - 1}
+		if !math.IsNaN(rate) {
+			c := uint64(rate * (1 << 53))
+			for _, d := range []uint64{2, 1} {
+				if c >= d {
+					us = append(us, c-d)
+				}
+			}
+			us = append(us, c, c+1, c+2)
+		}
+		for _, u := range us {
+			if u >= 1<<53 {
+				continue
+			}
+			want := float64(u)/(1<<53) < rate
+			if got := u < thr; got != want {
+				t.Fatalf("rate %v (%b): draw %d selected=%v, float compare %v", rate, math.Float64bits(rate), u, got, want)
+			}
+		}
+	}
+}
+
+// TestPacketSampleIntoMatchesFloatDraws replays the sampler's RNG stream
+// through the float comparison SampleInto used to make and requires
+// the same selection and the same stream position afterwards.
+func TestPacketSampleIntoMatchesFloatDraws(t *testing.T) {
+	pkts := genPackets(4096)
+	for i := range pkts {
+		pkts[i].Ts = int64(i)
+	}
+	for _, rate := range append(boundaryRates(), 0.01, 0.99) {
+		if !(rate < 1) && !math.IsNaN(rate) {
+			continue
+		}
+		s := NewPacketSampler(77)
+		ref := hash.NewXorShift(77)
+		got := s.SampleInto(nil, pkts, rate)
+		var want []int64
+		if rate > 0 || math.IsNaN(rate) {
+			for i := range pkts {
+				if ref.Float64() < rate {
+					want = append(want, pkts[i].Ts)
+				}
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("rate %v: selected %d packets, float draws %d", rate, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Ts != want[i] {
+				t.Fatalf("rate %v: selection %d is packet %d, float draws %d", rate, i, got[i].Ts, want[i])
+			}
+		}
+		if rate > 0 && s.State() != ref.State() {
+			t.Fatalf("rate %v: RNG stream position diverged", rate)
+		}
+	}
+}
+
+// TestFlowKeepMatchesUnitFlowKey pins Keep's field-wise hash and integer
+// threshold to the serialized-key form it replaces, Unit(FlowKey) <
+// rate, on random packets across several intervals — at random rates
+// and at each packet's own boundary rate and its neighbours.
+func TestFlowKeepMatchesUnitFlowKey(t *testing.T) {
+	rng := hash.NewXorShift(5)
+	fs := NewFlowSampler(31)
+	for interval := 0; interval < 4; interval++ {
+		for i := 0; i < 2000; i++ {
+			r := rng.Uint64()
+			p := pkt.Packet{
+				SrcIP:   uint32(r),
+				DstIP:   uint32(r >> 32),
+				SrcPort: uint16(rng.Uint64()),
+				DstPort: uint16(rng.Uint64()),
+				Proto:   uint8(rng.Uint64()),
+			}
+			k := p.FlowKey()
+			u := fs.h.Unit(k[:])
+			for _, rate := range []float64{rng.Float64(), u, math.Nextafter(u, 0), math.Nextafter(u, 1)} {
+				if rate <= 0 || rate >= 1 {
+					continue
+				}
+				if got, want := fs.Keep(&p, rate), u < rate; got != want {
+					t.Fatalf("interval %d packet %+v rate %v: Keep=%v, Unit(FlowKey) < rate is %v", interval, p, rate, got, want)
+				}
+				one := []pkt.Packet{p}
+				if got := len(fs.SampleInto(nil, one, rate)) == 1; got != (u < rate) {
+					t.Fatalf("interval %d packet %+v rate %v: SampleInto kept=%v, want %v", interval, p, rate, got, u < rate)
+				}
+			}
+		}
+		fs.StartInterval()
 	}
 }

@@ -110,22 +110,22 @@ type Config struct {
 	SpikeProb   float64 // probability of a cost spike per query-bin (default 0)
 	SpikeFactor float64 // spike multiplier (default 2.5)
 
-	// Workers bounds the engine's total concurrency. 0 selects
-	// runtime.GOMAXPROCS(0); 1 runs the strictly sequential bin loop
-	// with every query inline on the run goroutine. Workers >= 2 (unless
-	// NoPipeline is set) additionally enables the two-deep bin pipeline:
-	// the count splits between the front-stage sketch pool and the
-	// back-stage execute pool per splitWorkers (front = ⌊Workers/2⌋, at
-	// least 1; execute = the rest — see the table in DESIGN.md §10).
-	// Results are bit-identical for any value: sketching is a pure
-	// function of the batch merged in index order, each query owns its
-	// RNG streams, and per-bin results merge in query-index order.
+	// Workers is the width of the execute stage's query fan-out. 0
+	// selects runtime.GOMAXPROCS(0); 1 runs the strictly sequential bin
+	// loop with every query inline on the run goroutine. Workers >= 2
+	// (unless NoPipeline is set) also enables the two-deep bin pipeline,
+	// which adds exactly one front goroutine that sketches bin N+1 while
+	// the back stage executes bin N (DESIGN.md §10). Results are
+	// bit-identical for any value: sketching is a pure function of the
+	// batch, each query owns its RNG streams, and per-bin results merge
+	// in query-index order.
 	Workers int
 
 	// NoPipeline forces the sequential bin loop even when Workers >= 2,
-	// keeping the whole Workers count for the execute pool. Output is
-	// identical either way; the switch exists for measurement (pipelined
-	// vs sequential at equal Workers) and as an escape hatch.
+	// dropping the front goroutine; the execute fan-out stays Workers
+	// wide. Output is identical either way; the switch exists for
+	// measurement (pipelined vs sequential at equal Workers) and as an
+	// escape hatch.
 	NoPipeline bool
 
 	BufferBins      float64 // capture buffer size in bins of traffic (default 50 ≈ 5 s, a 256 MB DAG buffer at evaluation rates; Ch. 5's no-shedding emulation sets 2 ≈ 200 ms)
@@ -323,19 +323,15 @@ type System struct {
 	// transient; index-aligned with qs.
 	prevIvr []queries.Result
 
-	// execWk is the execute stage's pool size: Workers under the
-	// sequential loop, the back-stage half of splitWorkers when
-	// pipelined.
-	execWk int
-	// execPool is the execute stage's persistent worker pool (execWk-1
-	// helpers; the run goroutine is the pool's remaining worker),
-	// per-run like the pipeline's front pool: newRunner spawns it,
-	// finish releases it, an idle System holds no goroutines. nil when
-	// execWk == 1 — the execute fan-out then runs inline.
+	// execPool is the execute stage's persistent worker pool
+	// (Workers-1 helpers; the run goroutine is the pool's remaining
+	// worker), per-run like the pipeline's front goroutine: newRunner
+	// spawns it, finish releases it, an idle System holds no goroutines.
+	// nil when Workers == 1 — the execute fan-out then runs inline.
 	execPool *staticPool
-	// pipe is the two-deep bin pipeline's persistent state (slots,
-	// channels, chunk sketcher), built lazily on the first pipelined run
-	// and reused after; see pipeline.go.
+	// pipe is the two-deep bin pipeline's persistent state (slots and
+	// channels), built lazily on the first pipelined run and reused
+	// after; see pipeline.go.
 	pipe *pipeline
 	// specSketch, when non-nil, is the front stage's speculative sketch
 	// of the current bin's wire batch. extractPredict validates it
@@ -379,10 +375,6 @@ func New(cfg Config, qs []queries.Query) *System {
 		noise:        hash.NewXorShift(cfg.Seed + 0x4015e),
 		interval:     qs[0].Interval(),
 		reactiveRate: 1,
-	}
-	s.execWk = cfg.Workers
-	if cfg.pipelined() {
-		_, s.execWk = splitWorkers(cfg.Workers)
 	}
 	if cfg.CustomShedding {
 		s.manager = custom.NewManager(cfg.CustomPolicy)
@@ -650,12 +642,16 @@ func (s *System) newRunner(src trace.Source, sink Sink) *runner {
 	}
 	s.startInterval()
 	r := &runner{s: s, src: src, sink: sink, binsPerInterval: binsPerInterval}
-	if s.execWk > 1 {
-		s.execPool = newStaticPool(s.execWk - 1)
+	if s.cfg.Workers > 1 {
+		s.execPool = newStaticPool(s.cfg.Workers - 1)
 	}
 	if s.cfg.pipelined() {
+		var ext *features.Extractor
+		if s.cfg.Scheme == Predictive {
+			ext = s.globalExt
+		}
 		r.pipe = s.ensurePipeline()
-		r.pipe.begin(src, s.cfg.Scheme == Predictive)
+		r.pipe.begin(src, ext)
 	}
 	return r
 }
@@ -691,9 +687,9 @@ func (r *runner) step() bool {
 			r.pipe.free <- slot
 			return false
 		}
-		if slot.sketched {
-			s.specSketch = slot.sketch
-		}
+		// Only predictive runs sketch ahead, and only extractPredict,
+		// which returns early in the other schemes, reads specSketch.
+		s.specSketch = slot.sketch
 		r.lastBin = s.step(r.bin, &slot.batch)
 		s.specSketch = nil
 		// The bin is done with the slot: BinStats carries no references

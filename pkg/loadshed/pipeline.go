@@ -9,11 +9,11 @@ package loadshed
 // history that execute(N)'s Observe calls appended to — so the pipeline
 // overlaps only the one half of the bin that is a pure function of the
 // captured batch: sketching (hashing every packet's aggregate keys into
-// the batch bitmaps). A front goroutine pulls batches from the source
-// and speculatively sketches each wire batch, chunk-parallel across the
-// front half of Config.Workers; the back stage (the caller's goroutine)
-// then runs admit → … → feedback for bin N in strict bin order, exactly
-// as the sequential engine does, while the front works on bin N+1.
+// the batch bitmaps). One front goroutine pulls batches from the source
+// and speculatively sketches each wire batch; the back stage (the
+// caller's goroutine) then runs admit → … → feedback for bin N in strict
+// bin order, exactly as the sequential engine does, with its execute
+// fan-out Config.Workers wide, while the front works on bin N+1.
 //
 // Speculation: the front sketches the wire batch, but extraction is
 // defined over the admitted batch. Admission is a prefix — tail drop
@@ -33,9 +33,6 @@ package loadshed
 // which points at whichever generation carried the bin.
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/features"
 	"repro/internal/pkt"
 	"repro/internal/trace"
@@ -47,33 +44,17 @@ import (
 // purely about throughput.
 func (c Config) pipelined() bool { return c.Workers >= 2 && !c.NoPipeline }
 
-// splitWorkers divides Config.Workers between the front-stage sketch
-// pool and the back-stage execute pool: the front gets the floor half
-// (at least one — the front goroutine itself), execute the rest. The
-// split keeps both halves busy because sketching and query execution
-// cost the same order of work per packet; see the table in DESIGN.md
-// §10.
-func splitWorkers(w int) (front, execute int) {
-	front = w / 2
-	if front < 1 {
-		front = 1
-	}
-	return front, w - front
-}
-
 // binSlot is one generation of the pipeline ring: a captured batch and
 // the speculative sketch of its wire packets.
 type binSlot struct {
-	batch    pkt.Batch
-	ok       bool // false: end of trace, batch/sketch are meaningless
-	sketched bool // front sketched the wire batch (predictive runs only)
-	sketch   *features.Sketch
+	batch  pkt.Batch
+	ok     bool // false: end of trace, batch/sketch are meaningless
+	sketch *features.Sketch
 }
 
-// pipeline is the ring and the front stage's machinery. Slots, channels
-// and the chunk sketcher persist on the System across runs; the worker
-// pool and front goroutine are per-run, so an idle System holds no
-// goroutines.
+// pipeline is the ring and the front stage's machinery. Slots and
+// channels persist on the System across runs; the front goroutine is
+// per-run, so an idle System holds no goroutines.
 type pipeline struct {
 	slots [2]binSlot
 	free  chan *binSlot
@@ -82,26 +63,18 @@ type pipeline struct {
 	// quit/frontDone are per-run teardown channels: stop closes quit so
 	// a front goroutine whose back stage was cancelled (and therefore
 	// stopped freeing slots) unblocks from its free-receive, and waits on
-	// frontDone before releasing the pool. On a natural end of trace the
-	// front has already returned and the wait is immediate.
+	// frontDone. On a natural end of trace the front has already
+	// returned and the wait is immediate.
 	quit      chan struct{}
 	frontDone chan struct{}
-
-	frontWorkers int
-	cs           *features.ChunkSketcher
-	pool         *staticPool          // per-run; nil while idle or when frontWorkers == 1
-	runFn        func(int, func(int)) // p.pool.run, bound once per run
 }
 
 // ensurePipeline lazily builds the persistent half of the pipeline.
 func (s *System) ensurePipeline() *pipeline {
 	if s.pipe == nil {
-		front, _ := splitWorkers(s.cfg.Workers)
 		p := &pipeline{
-			free:         make(chan *binSlot, 2),
-			ready:        make(chan *binSlot, 2),
-			frontWorkers: front,
-			cs:           features.NewChunkSketcher(s.globalExt, front),
+			free:  make(chan *binSlot, 2),
+			ready: make(chan *binSlot, 2),
 		}
 		for i := range p.slots {
 			p.slots[i].sketch = features.NewSketch()
@@ -113,12 +86,12 @@ func (s *System) ensurePipeline() *pipeline {
 
 // begin arms the ring for one run and starts the front stage: both
 // slots on free (draining whatever a cancelled previous run left in the
-// channels), a fresh helper pool (the front goroutine is the pool's
-// missing worker), and the front goroutine pulling from src. The front
-// exits on its own when the source is exhausted, after handing the back
-// stage an ok=false slot; a cancelled run instead tears it down through
-// the quit channel.
-func (p *pipeline) begin(src trace.Source, sketch bool) {
+// channels) and the front goroutine pulling from src, sketching through
+// ext (nil: no sketching, for non-predictive runs). The front exits on
+// its own when the source is exhausted, after handing the back stage an
+// ok=false slot; a cancelled run instead tears it down through the quit
+// channel.
+func (p *pipeline) begin(src trace.Source, ext *features.Extractor) {
 	for len(p.free) > 0 {
 		<-p.free
 	}
@@ -129,36 +102,30 @@ func (p *pipeline) begin(src trace.Source, sketch bool) {
 	p.free <- &p.slots[1]
 	p.quit = make(chan struct{})
 	p.frontDone = make(chan struct{})
-	if p.frontWorkers > 1 {
-		p.pool = newStaticPool(p.frontWorkers - 1)
-		p.runFn = p.pool.run
-	}
-	go p.front(src, sketch)
+	go p.front(src, ext)
 }
 
-// stop tears down the per-run machinery: it quits the front stage, waits
-// for it to return, then releases the pool. After a natural end of trace
-// the front has already exited and stop returns immediately; after a
-// cancellation it returns as soon as the front observes quit — at its
-// next free-receive, or after its in-flight src.NextBatch/sketch
-// completes (bounded for every Source; live listeners are additionally
-// closed by the caller to unblock a silent link).
+// stop quits the front stage and waits for it to return. After a
+// natural end of trace the front has already exited and stop returns
+// immediately; after a cancellation it returns as soon as the front
+// observes quit — at its next free-receive, or after its in-flight
+// src.NextBatch/sketch completes (bounded for every Source; live
+// listeners are additionally closed by the caller to unblock a silent
+// link).
 func (p *pipeline) stop() {
 	close(p.quit)
 	<-p.frontDone
-	if p.pool != nil {
-		p.pool.close()
-		p.pool, p.runFn = nil, nil
-	}
 }
 
 // front is the pipeline's producer loop: capture the next batch,
-// speculatively sketch its wire packets (predictive runs), hand the
+// speculatively sketch its wire packets (when ext is non-nil), hand the
 // slot over. It is the source's only consumer, so batch order — and
 // with it every downstream RNG and history stream — is exactly the
 // sequential engine's. Sources hand off stable batches (see
-// trace.Source), so the slot holds the batch without copying.
-func (p *pipeline) front(src trace.Source, sketch bool) {
+// trace.Source), so the slot holds the batch without copying. SketchInto
+// only reads ext's hash tables, so it runs safely beside the back
+// stage's use of the same extractor.
+func (p *pipeline) front(src trace.Source, ext *features.Extractor) {
 	defer close(p.frontDone)
 	for {
 		// Only the free-receive can block indefinitely (a cancelled back
@@ -177,79 +144,10 @@ func (p *pipeline) front(src trace.Source, sketch bool) {
 			p.ready <- slot
 			return
 		}
-		slot.batch, slot.ok, slot.sketched = b, true, sketch
-		if sketch {
-			p.cs.Fill(slot.sketch, b.Pkts, p.runFn)
+		slot.batch, slot.ok = b, true
+		if ext != nil {
+			ext.SketchInto(slot.sketch, b.Pkts)
 		}
 		p.ready <- slot
 	}
 }
-
-// staticPool is a persistent fixed-size worker pool with the same
-// index-handout contract as parallelIndexed, for call sites on the
-// per-bin hot path: parallelIndexed spawns goroutines per call, which
-// is fine once per bin for the execute fan-out but would double the
-// per-bin goroutine churn if the front stage did it too. run is
-// zero-alloc when fn is prebuilt (the ChunkSketcher's chunk body is).
-type staticPool struct {
-	workers int
-	fn      func(int)
-	n       int
-	next    atomic.Int64
-	start   chan struct{}
-	done    chan struct{}
-	wg      sync.WaitGroup
-}
-
-func newStaticPool(workers int) *staticPool {
-	p := &staticPool{
-		workers: workers,
-		start:   make(chan struct{}),
-		done:    make(chan struct{}),
-	}
-	for k := 0; k < workers; k++ {
-		go p.worker()
-	}
-	return p
-}
-
-func (p *staticPool) worker() {
-	for {
-		select {
-		case <-p.start:
-		case <-p.done:
-			return
-		}
-		for {
-			i := int(p.next.Add(1)) - 1
-			if i >= p.n {
-				break
-			}
-			p.fn(i)
-		}
-		p.wg.Done()
-	}
-}
-
-// run executes fn(0) … fn(n-1) across the pool's workers and the
-// calling goroutine, returning when all have finished. One run at a
-// time; the caller owns the pool.
-func (p *staticPool) run(n int, fn func(int)) {
-	p.fn, p.n = fn, n
-	p.next.Store(0)
-	p.wg.Add(p.workers)
-	for k := 0; k < p.workers; k++ {
-		p.start <- struct{}{}
-	}
-	for {
-		i := int(p.next.Add(1)) - 1
-		if i >= n {
-			break
-		}
-		fn(i)
-	}
-	p.wg.Wait()
-}
-
-// close releases the pool's goroutines. The pool must be idle.
-func (p *staticPool) close() { close(p.done) }

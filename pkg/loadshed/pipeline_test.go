@@ -46,7 +46,7 @@ func TestPipelineMatchesSequential(t *testing.T) {
 	if seq.TotalDrops() == 0 {
 		t.Fatal("config produced no DAG drops; the mis-speculation path is not exercised")
 	}
-	for _, workers := range []int{2, 4, 7} {
+	for _, workers := range []int{2, 3, 4, 7} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			par := pipeRun(pipeCfg(workers))
 			if len(par.Bins) != len(seq.Bins) {
@@ -67,6 +67,31 @@ func TestPipelineMatchesSequential(t *testing.T) {
 				t.Fatal("NoPipeline run diverged from the sequential engine")
 			}
 		})
+	}
+}
+
+// TestPipelinedExecuteUsesAllWorkers pins the Workers rule of DESIGN.md
+// §10: a pipelined run fans execute out over all Workers and adds one
+// front goroutine on top, so the engine cannot silently fall back to a
+// 1-wide execute (the outputs would not show it — they are identical at
+// every width).
+func TestPipelinedExecuteUsesAllWorkers(t *testing.T) {
+	cfg := pipeCfg(2)
+	var sys *System
+	width := 0
+	cfg.Probe = func(int) {
+		width = 1
+		if sys.execPool != nil {
+			width += sys.execPool.workers
+		}
+	}
+	sys = New(cfg, AllQueries(QueryConfig{Seed: 42}))
+	sys.Run(testSource(12, time.Second))
+	if sys.pipe == nil {
+		t.Fatal("Workers: 2 run did not take the bin pipeline")
+	}
+	if width != 2 {
+		t.Fatalf("pipelined Workers: 2 run executed %d-wide, want 2", width)
 	}
 }
 
@@ -124,8 +149,8 @@ func TestRollingStatsPipelinedStream(t *testing.T) {
 // length must be the same pipelined as sequential. (The growth itself
 // is not zero — interval flushes cost a few allocations per flush on
 // both paths — so the guard compares marginal cost, which isolates
-// exactly what the ring, the staging sketches and the pools add: it
-// must be nothing.)
+// exactly what the ring, the front goroutine and the pool add: it must
+// be nothing.)
 func TestPipelineSteadyStateAllocs(t *testing.T) {
 	batches := trace.Record(testSource(19, 6*time.Second))
 	long := trace.NewMemorySource(batches, trace.DefaultTimeBin)
@@ -148,7 +173,7 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 	}
 
 	seq := growth(1)
-	// Workers=4: slots, staging sketches, staticPool and the exec pool
+	// Workers=4: the slot ring, the front goroutine and the exec pool
 	// are all in play. Allow one alloc of jitter — AllocsPerRun rounds
 	// an occasional background-GC hiccup into the count.
 	if pipe := growth(4); pipe > seq+1 {
@@ -189,14 +214,14 @@ func TestClusterPipelinedShardsDeterminism(t *testing.T) {
 }
 
 // TestPipelineReleasesGoroutines pins the per-run lifecycle: the front
-// goroutine exits with the trace and finish() releases the sketch pool,
+// goroutine exits with the trace and finish() releases the execute pool,
 // so a System that has finished streaming holds no goroutines — Systems
 // are created in bulk by benchmarks and experiments, and a persistent
 // pool would leak with each one.
 func TestPipelineReleasesGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cfg := streamCfg(27)
-	cfg.Workers = 7 // front pool of 2 helpers plus the front goroutine
+	cfg.Workers = 7 // execute pool of 6 helpers plus the front goroutine
 	sys := New(cfg, stdQueries())
 	for i := 0; i < 3; i++ {
 		sys.Stream(testSource(7, 2*time.Second), nil)

@@ -212,7 +212,7 @@ func waitGoroutines(t *testing.T, before int) {
 // TestStreamContextCancelReleasesGoroutines is the cancellation half of
 // the tentpole: cancelling mid-run stops the stream at a bin boundary,
 // still flushes the open interval, and tears down the front goroutine
-// and both worker pools — no leaks, sequential or pipelined, proven
+// and the execute pool — no leaks, sequential or pipelined, proven
 // under -race by the CI race job.
 func TestStreamContextCancelReleasesGoroutines(t *testing.T) {
 	for _, workers := range []int{1, 6} {

@@ -21,9 +21,9 @@ const coldStartRate = 0.05
 // parallelIndexed runs fn(0) … fn(n-1) on a bounded pool of workers
 // goroutines (inline when the pool would be size 1), handing indices
 // out through an atomic counter, and returns once every call finished.
-// Both the execute stage's query pool and the Cluster's shard-runner
-// pool build on it; determinism is the caller's contract — fn(i) must
-// touch only index-owned state.
+// The Cluster's shard-runner pool builds on it, and the execute stage's
+// staticPool hands indices out the same way; determinism is the
+// caller's contract — fn(i) must touch only index-owned state.
 func parallelIndexed(n, workers int, fn func(int)) {
 	w := min(workers, n)
 	if w <= 1 {
@@ -49,6 +49,74 @@ func parallelIndexed(n, workers int, fn func(int)) {
 	}
 	wg.Wait()
 }
+
+// staticPool is a persistent fixed-size worker pool with the same
+// index-handout contract as parallelIndexed, for the execute stage's
+// per-bin fan-out: parallelIndexed spawns goroutines per call, the pool
+// spawns them once per run. run is zero-alloc when fn is prebuilt (the
+// System's execFn is).
+type staticPool struct {
+	workers int
+	fn      func(int)
+	n       int
+	next    atomic.Int64
+	start   chan struct{}
+	done    chan struct{}
+	wg      sync.WaitGroup
+}
+
+func newStaticPool(workers int) *staticPool {
+	p := &staticPool{
+		workers: workers,
+		start:   make(chan struct{}),
+		done:    make(chan struct{}),
+	}
+	for k := 0; k < workers; k++ {
+		go p.worker()
+	}
+	return p
+}
+
+func (p *staticPool) worker() {
+	for {
+		select {
+		case <-p.start:
+		case <-p.done:
+			return
+		}
+		for {
+			i := int(p.next.Add(1)) - 1
+			if i >= p.n {
+				break
+			}
+			p.fn(i)
+		}
+		p.wg.Done()
+	}
+}
+
+// run executes fn(0) … fn(n-1) across the pool's workers and the
+// calling goroutine, returning when all have finished. One run at a
+// time; the caller owns the pool.
+func (p *staticPool) run(n int, fn func(int)) {
+	p.fn, p.n = fn, n
+	p.next.Store(0)
+	p.wg.Add(p.workers)
+	for k := 0; k < p.workers; k++ {
+		p.start <- struct{}{}
+	}
+	for {
+		i := int(p.next.Add(1)) - 1
+		if i >= n {
+			break
+		}
+		fn(i)
+	}
+	p.wg.Wait()
+}
+
+// close releases the pool's goroutines. The pool must be idle.
+func (p *staticPool) close() { close(p.done) }
 
 // BinContext threads one batch's state through the pipeline stages. A
 // fresh context is built per bin by newBinContext; each stage reads the
@@ -386,12 +454,11 @@ func (s *System) execute(bc *BinContext) {
 		s.execFn = func(i int) { s.executeQuery(&s.bc, i) }
 	}
 	if s.execPool != nil {
-		// The persistent pool replaces parallelIndexed's per-bin
-		// goroutine spawns on the hot path; same index-handout contract,
-		// with the run goroutine as the pool's remaining worker.
 		s.execPool.run(len(s.qs), s.execFn)
 	} else {
-		parallelIndexed(len(s.qs), s.execWk, s.execFn)
+		for i := range s.qs {
+			s.execFn(i)
+		}
 	}
 
 	// Deterministic merge: index order fixes the floating-point
